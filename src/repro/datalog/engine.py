@@ -34,7 +34,8 @@ Inflationary evaluation supports two strategies:
   with negation.
 
 Orthogonally to the strategy, ``intern=True`` runs the same plans over
-the **interned columnar kernel**: the instance is interned once into a
+the **interned columnar kernel**: the instance is interned once per
+evaluation, in one linear traversal (:func:`intern_instance`), into a
 :class:`repro.objects.intern.ValueStore` (rows become tuples of dense
 ids, EDB relations ``array('q')``-backed column tables), and positive
 literals probe :class:`repro.core.fixpoint.IndexPool` hash indexes keyed
@@ -45,7 +46,9 @@ the packed states the generic fixpoint engines see are element-wise
 renamed but structurally identical — stage counts, derivation counters
 and PFP divergence (period, stage) all coincide with the object engines,
 which therefore remain the differential oracle.  Results are uninterned
-at the API boundary.
+at the API boundary.  Nothing carries over between evaluations, and the
+planner holds no reference cycles, so an evaluation's database, store
+and EDB rows are freed by reference counting as soon as it returns.
 
 Partial (PFP) semantics replaces the IDB wholesale each stage, so no
 derivation can be carried over; ``strategy`` is accepted for interface
@@ -363,40 +366,47 @@ def _rule_bindings(rule: Rule, db) -> Iterator[Env]:
 
     ``db`` is either database flavour; the planner only speaks the
     shared matching protocol."""
+    return _extend(db, {}, list(rule.body))
 
-    def extend(env: Env, remaining: list) -> Iterator[Env]:
-        if not remaining:
-            yield env
+
+def _extend(db, env: Env, remaining: list) -> Iterator[Env]:
+    """Extend ``env`` through the ``remaining`` body literals.
+
+    A module-level function rather than a closure over ``db``: a
+    recursive closure refers to itself through its cell, a reference
+    cycle that would keep each evaluation's database (and its interned
+    store and EDB rows) alive until the cyclic garbage collector runs.
+    """
+    if not remaining:
+        yield env
+        return
+    # Pick the first evaluable literal.
+    for position, literal in enumerate(remaining):
+        rest = remaining[:position] + remaining[position + 1:]
+        if isinstance(literal, Literal) and literal.positive:
+            for extended in db.match_positive(literal, env):
+                yield from _extend(db, extended, rest)
             return
-        # Pick the first evaluable literal.
-        for position, literal in enumerate(remaining):
-            rest = remaining[:position] + remaining[position + 1:]
-            if isinstance(literal, Literal) and literal.positive:
-                for extended in db.match_positive(literal, env):
-                    yield from extend(extended, rest)
+        if _is_bound(literal, env, db):
+            if isinstance(literal, Literal):
+                row = tuple(db.term_value(t, env) for t in literal.terms)
+                holds = row in db.rows(literal.predicate)
+                if holds == literal.positive:
+                    yield from _extend(db, env, rest)
+            else:
+                if db.check_builtin(literal, env):
+                    yield from _extend(db, env, rest)
+            return
+        if isinstance(literal, BuiltinLiteral):
+            generated = db.generate_builtin(literal, env)
+            if generated is not None:
+                for extended in generated:
+                    yield from _extend(db, extended, rest)
                 return
-            if _is_bound(literal, env, db):
-                if isinstance(literal, Literal):
-                    row = tuple(db.term_value(t, env) for t in literal.terms)
-                    holds = row in db.rows(literal.predicate)
-                    if holds == literal.positive:
-                        yield from extend(env, rest)
-                else:
-                    if db.check_builtin(literal, env):
-                        yield from extend(env, rest)
-                return
-            if isinstance(literal, BuiltinLiteral):
-                generated = db.generate_builtin(literal, env)
-                if generated is not None:
-                    for extended in generated:
-                        yield from extend(extended, rest)
-                    return
-        raise DatalogError(
-            f"unsafe rule: no literal evaluable with bindings "
-            f"{sorted(env)} among {remaining!r}"
-        )
-
-    yield from extend({}, list(rule.body))
+    raise DatalogError(
+        f"unsafe rule: no literal evaluable with bindings "
+        f"{sorted(env)} among {remaining!r}"
+    )
 
 
 def _derive(rules, db,

@@ -31,17 +31,27 @@ their :class:`~repro.objects.ordering.AtomOrder` ranks.  Because the
 collection and sorts are deterministic, re-parsing the same instance
 (e.g. through ``instance_to_json``/``instance_from_json``) reproduces
 the same id for every value — ids are stable names within an instance.
+
+Interning a whole instance (:func:`intern_instance`) is one traversal,
+linear in ``||I||`` apart from the per-group sorts, as the first step of
+the Theorem 4.1 simulation (order ``atom(I)``, encode I) requires.  The
+collection runs a column at a time and recurses only into values new to
+their group; it also yields ``atom(I)`` (every atom sits at a declared-U
+position), so the default order needs no separate ``Instance.atoms()``
+pass.  Rows are then mapped to id-rows with the ids just assigned, and
+each :class:`ColumnTable` builds its row set once.  Nothing is cached
+across calls: each call interns the instance afresh.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
-from .instance import Instance
-from .ordering import AtomOrder, sort_key
+from .instance import Instance, Relation
+from .ordering import AtomOrder, OrderError, sort_key
 from .types import AtomType, SetType, TupleType, Type
-from .values import Atom, CSet, CTuple, Value
+from .values import Atom, AtomLabel, CSet, CTuple, Value
 
 __all__ = [
     "InternError",
@@ -150,15 +160,19 @@ class ValueStore:
     def intern_row(self, row: Iterable[Value]) -> tuple[int, ...]:
         return tuple(self.intern(value) for value in row)
 
+    def _key_at(self, vid: int) -> tuple:
+        """The structural key behind ``vid``; :class:`InternError` for
+        anything but an assigned id (negative indexes included)."""
+        if isinstance(vid, int) and 0 <= vid < len(self._keys):
+            return self._keys[vid]
+        raise InternError(f"unknown value id {vid!r}")
+
     def value(self, vid: int) -> Value:
         """The value named by ``vid`` (inverse of :meth:`intern`)."""
-        try:
-            cached = self._values[vid]
-        except (IndexError, TypeError):
-            raise InternError(f"unknown value id {vid!r}") from None
+        kind, payload = self._key_at(vid)
+        cached = self._values[vid]
         if cached is not None:
             return cached
-        kind, payload = self._keys[vid]
         if kind == "a":
             rebuilt: Value = Atom(payload)
         elif kind == "t":
@@ -175,20 +189,17 @@ class ValueStore:
 
     def kind(self, vid: int) -> str:
         """``"atom"`` | ``"tuple"`` | ``"set"`` of the value behind ``vid``."""
-        try:
-            tag = self._keys[vid][0]
-        except IndexError:
-            raise InternError(f"unknown value id {vid!r}") from None
+        tag = self._key_at(vid)[0]
         return {"a": "atom", "t": "tuple", "s": "set"}[tag]
 
     def tuple_items(self, vid: int) -> tuple[int, ...] | None:
         """Component ids of a tuple value, ``None`` if not a tuple."""
-        kind, payload = self._keys[vid]
+        kind, payload = self._key_at(vid)
         return payload if kind == "t" else None
 
     def set_members(self, vid: int) -> frozenset[int] | None:
         """Element ids of a set value, ``None`` if not a set."""
-        kind, payload = self._keys[vid]
+        kind, payload = self._key_at(vid)
         return payload if kind == "s" else None
 
     def intern_tuple(self, item_ids: Iterable[int]) -> int:
@@ -223,61 +234,127 @@ class ValueStore:
         and must cover every atom of the instance.  See the module
         docstring for the order-compatibility guarantee.
         """
-        if order is None:
-            order = AtomOrder.sorted_by_label(inst.atoms())
+        return _InstanceInterner(inst, order).store
+
+
+class _InstanceInterner:
+    """One traversal of an instance: collect its values under their
+    declared column types, assign ids group by group, and map rows to
+    id-rows.
+
+    Collection and row mapping run a column at a time.  Atoms are keyed
+    by label, whose hash is computed in C, and compound values by value;
+    each compound's key is built from the ids of its components, which
+    belong to smaller-depth groups and so already have ids.
+    """
+
+    def __init__(self, inst: Instance, order: AtomOrder | None):
+        self.atoms: dict[AtomLabel, Atom] = {}
         groups: dict[Type, set[Value]] = {}
         for rel in inst.relations():
-            column_types = rel.schema.column_types
-            for row in rel.tuples:
-                for value, typ in zip(row.items, column_types):
-                    _collect_typed(value, typ, groups)
-        store = cls()
-        # Atoms first (their group may be empty for atom-free instances,
-        # but any atom mentioned by `order` still gets its rank as id).
-        for atom_ in order.atoms:
-            store.intern(atom_)
+            for position, typ in enumerate(rel.schema.column_types):
+                self._collect(_column(rel, position), typ, groups)
+        if order is None:
+            # Construction typechecked every row, so each atom sits at a
+            # declared-U position: the collected atoms are atom(inst).
+            order = AtomOrder.sorted_by_label(self.atoms.values())
+        self.atom_ids = {a.label: rank for rank, a in enumerate(order.atoms)}
+        missing = self.atoms.keys() - self.atom_ids.keys()
+        if missing:
+            raise OrderError(f"atom {self.atoms[missing.pop()]!r} "
+                             f"not in ordered universe")
+        store = self.store = ValueStore()
+        # Atoms first, as their order ranks (atoms mentioned only by
+        # `order` get theirs too).
+        store._keys.extend(("a", a.label) for a in order.atoms)
+        store._values.extend(order.atoms)
+        store._ids.update(zip(store._keys, range(len(order))))
+        self.ids: dict[Value, int] = {}
         for typ in sorted(groups, key=lambda t: (type_depth(t), repr(t))):
             for value in sorted(groups[typ], key=lambda v: sort_key(v, order)):
-                store.intern(value)
-        return store
+                if isinstance(value, CTuple):
+                    key: tuple = ("t", tuple(map(self._id, value.items)))
+                else:
+                    assert isinstance(value, CSet)
+                    key = ("s", frozenset(map(self._id, value.elements)))
+                vid = store._ids.get(key)
+                self.ids[value] = store._add(key, value) if vid is None else vid
+
+    def _id(self, value: Value) -> int:
+        """The id of an already-collected value."""
+        if isinstance(value, Atom):
+            return self.atom_ids[value.label]
+        return self.ids[value]
+
+    def _collect(self, values: list[Any], typ: Type,
+                 groups: dict[Type, set[Value]]) -> None:
+        """Record ``values`` under their declared type ``typ``, recursing
+        into the subobjects of those new to its group (instance
+        construction already typechecked that they conform)."""
+        if isinstance(typ, AtomType):
+            atoms = self.atoms
+            for atom_ in values:
+                atoms.setdefault(atom_.label, atom_)
+            return
+        group = groups.setdefault(typ, set())
+        fresh = set(values)
+        fresh -= group
+        group |= fresh
+        if isinstance(typ, SetType):
+            self._collect([e for v in fresh for e in v.elements],
+                          typ.element, groups)
+        elif isinstance(typ, TupleType):
+            for position, component in enumerate(typ.components):
+                self._collect([v.items[position] for v in fresh],
+                              component, groups)
+
+    def id_rows(self, rel: Relation) -> list[tuple[int, ...]]:
+        """The rows of ``rel`` as id-rows, mapped a column at a time."""
+        columns = []
+        for position, typ in enumerate(rel.schema.column_types):
+            column = _column(rel, position)
+            if isinstance(typ, AtomType):
+                atom_ids = self.atom_ids
+                columns.append([atom_ids[atom_.label] for atom_ in column])
+            else:
+                ids = self.ids
+                columns.append([ids[value] for value in column])
+        return list(zip(*columns))
 
 
-def _collect_typed(value: Value, typ: Type,
-                   groups: dict[Type, set[Value]]) -> None:
-    """Record ``value`` under its declared type, recursing into subobjects
-    (instance construction already typechecked conformance)."""
-    groups.setdefault(typ, set()).add(value)
-    if isinstance(value, CTuple) and isinstance(typ, TupleType):
-        for item, component in zip(value.items, typ.components):
-            _collect_typed(item, component, groups)
-    elif isinstance(value, CSet) and isinstance(typ, SetType):
-        for element in value.elements:
-            _collect_typed(element, typ.element, groups)
+def _column(rel: Relation, position: int) -> list[Any]:
+    """The values at ``position`` of every row, in the relation's
+    (stable) iteration order."""
+    return [row.items[position] for row in rel.tuples]
 
 
 class ColumnTable:
     """Interned rows stored column-major in ``array('q')`` buffers.
 
     The columnar layout keeps each relation's ids in contiguous machine
-    ints; ``rows()`` re-zips them on demand and ``to_frozenset`` is the
-    set-of-rows view the fixpoint protocols union over.
+    ints; iteration re-zips them on demand.  ``to_frozenset`` is the
+    set-of-rows view the fixpoint protocols union over and the engines
+    probe; it is built once, at construction.
     """
 
-    __slots__ = ("columns", "_length")
+    __slots__ = ("columns", "_length", "_rows")
 
     def __init__(self, rows: Iterable[tuple[int, ...]], arity: int | None = None):
         materialized = [tuple(row) for row in rows]
         if arity is None:
             arity = len(materialized[0]) if materialized else 0
-        columns = tuple(array("q") for _ in range(arity))
         for row in materialized:
             if len(row) != arity:
                 raise InternError(
                     f"row {row!r} does not match table arity {arity}")
-            for column, vid in zip(columns, row):
-                column.append(vid)
+        if materialized:
+            columns = tuple(array("q", column)
+                            for column in zip(*materialized))
+        else:
+            columns = tuple(array("q") for _ in range(arity))
         object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "_length", len(materialized))
+        object.__setattr__(self, "_rows", frozenset(materialized))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("ColumnTable is immutable")
@@ -297,7 +374,7 @@ class ColumnTable:
             yield tuple(column[i] for column in self.columns)
 
     def to_frozenset(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(self)
+        return self._rows
 
 
 def intern_instance(
@@ -307,13 +384,23 @@ def intern_instance(
 ) -> tuple[ValueStore, Mapping[str, ColumnTable]]:
     """Intern ``inst`` into ``(store, {relation name: ColumnTable})``.
 
-    Table rows are sorted by id-tuple, so the columnar buffers (not just
-    the id assignment) are reproducible across re-parses.
+    Without a ``store``, this is one traversal of the instance: the ids
+    :meth:`ValueStore.from_instance` assigns also map the rows.  A given
+    ``store`` interns each row value by value.  Table rows are sorted by
+    id-tuple, so the columnar buffers (not just the id assignment) are
+    reproducible across re-parses.
     """
     if store is None:
-        store = ValueStore.from_instance(inst, order)
-    tables = {}
-    for rel in inst.relations():
-        id_rows = sorted(store.intern_row(row.items) for row in rel.tuples)
-        tables[rel.name] = ColumnTable(id_rows, arity=rel.schema.arity)
-    return store, tables
+        interner = _InstanceInterner(inst, order)
+        store = interner.store
+        id_rows = {rel.name: interner.id_rows(rel)
+                   for rel in inst.relations()}
+    else:
+        id_rows = {rel.name: [store.intern_row(row.items)
+                              for row in rel.tuples]
+                   for rel in inst.relations()}
+    return store, {
+        rel.name: ColumnTable(sorted(id_rows[rel.name]),
+                              arity=rel.schema.arity)
+        for rel in inst.relations()
+    }

@@ -26,6 +26,7 @@ universe D standing for ``<_U``.
 from __future__ import annotations
 
 import itertools
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from .domains import DEFAULT_MAX_ENUMERATION, DomainTooLarge, domain_cardinality
@@ -50,13 +51,16 @@ class AtomOrder:
 
     def __init__(self, atoms: Iterable[Atom]):
         atoms = tuple(atoms)
-        index: dict[Atom, int] = {}
-        for position, a in enumerate(atoms):
+        for a in atoms:
             if not isinstance(a, Atom):
                 raise OrderError(f"expected Atom, got {a!r}")
-            if a in index:
-                raise OrderError(f"duplicate atom {a!r} in order")
-            index[a] = position
+        index = dict(zip(atoms, range(len(atoms))))
+        if len(index) != len(atoms):
+            # A repeated atom keeps its last position: the first atom
+            # whose position disagrees is a duplicate.
+            duplicate = next(a for position, a in enumerate(atoms)
+                             if index[a] != position)
+            raise OrderError(f"duplicate atom {duplicate!r} in order")
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "_index", index)
 
@@ -66,8 +70,13 @@ class AtomOrder:
     @classmethod
     def sorted_by_label(cls, atoms: Iterable[Atom]) -> "AtomOrder":
         """The order sorting atoms by ``(type, label)`` — deterministic."""
-        return cls(sorted(atoms, key=lambda a: (str(type(a.label).__name__),
-                                                str(a.label))))
+        ordered = list(atoms)
+        if all(type(a.label) is str for a in ordered):
+            # One label type: the (type, label) key reduces to the label.
+            ordered.sort(key=attrgetter("label"))
+        else:
+            ordered.sort(key=lambda a: (type(a.label).__name__, str(a.label)))
+        return cls(ordered)
 
     @classmethod
     def from_labels(cls, labels: Iterable[object]) -> "AtomOrder":

@@ -142,10 +142,7 @@ class CTuple(Value):
         return self.items[i - 1]
 
     def atoms(self) -> frozenset[Atom]:
-        result: frozenset[Atom] = frozenset()
-        for item in self.items:
-            result |= item.atoms()
-        return result
+        return frozenset(gather_atoms(self.items, set()))
 
     def infer_type(self) -> Type:
         return TupleType(item.infer_type() for item in self.items)
@@ -202,10 +199,7 @@ class CSet(Value):
         raise AttributeError("CSet is immutable")
 
     def atoms(self) -> frozenset[Atom]:
-        result: frozenset[Atom] = frozenset()
-        for element in self.elements:
-            result |= element.atoms()
-        return result
+        return frozenset(gather_atoms(self.elements, set()))
 
     def infer_type(self) -> Type:
         if not self.elements:
@@ -267,6 +261,23 @@ class CSet(Value):
     def __str__(self) -> str:
         inner = ", ".join(sorted(str(e) for e in self.elements))
         return "{" + inner + "}"
+
+
+def gather_atoms(values: Iterable[Value], into: set[Atom]) -> set[Atom]:
+    """Add every atom occurring in ``values`` to ``into`` and return it.
+
+    One pass over the subobjects into one mutable set, so ``atom(O)`` of
+    a whole relation or instance costs time linear in its size (a union
+    of per-value frozensets would copy the growing result each time).
+    """
+    for value in values:
+        if isinstance(value, Atom):
+            into.add(value)
+        elif isinstance(value, CTuple):
+            gather_atoms(value.items, into)
+        elif isinstance(value, CSet):
+            gather_atoms(value.elements, into)
+    return into
 
 
 def atom(label: AtomLabel) -> Atom:

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from .conftest import small_types, values_of_type
+from .conftest import small_types, supply_chain_instances, values_of_type
 from repro.objects import (
     Atom,
     AtomOrder,
@@ -25,6 +25,7 @@ from repro.objects import (
     CSet,
     CTuple,
     InternError,
+    OrderError,
     ValueStore,
     database_schema,
     instance,
@@ -113,6 +114,18 @@ class TestInjectivity:
             store.intern_set([7])
         with pytest.raises(InternError):
             store.intern("not a value")
+
+    @pytest.mark.parametrize("method",
+                             ["value", "kind", "tuple_items", "set_members"])
+    @pytest.mark.parametrize("vid", [-1, 4, 99, "0", None])
+    def test_id_accessors_bounds_checked(self, method, vid):
+        """Negative ids must not index from the end, and ids past the
+        end must not leak a bare IndexError."""
+        store = ValueStore()
+        store.intern(CTuple([Atom("a"), CSet([Atom("b")])]))
+        assert len(store) == 4
+        with pytest.raises(InternError):
+            getattr(store, method)(vid)
 
 
 NESTED_SCHEMA = database_schema(P=["U", "{U}", "[U,{U}]"])
@@ -211,3 +224,47 @@ class TestColumnTable:
         store, _ = intern_instance(inst)
         assert store.value(store.intern(CSet([empty, nested]))) \
             == CSet([empty, nested])
+
+
+class TestSinglePassInterning:
+    """``from_instance`` takes atom(I) from its own traversal, and
+    ``intern_instance`` maps rows with the ids it assigned; both must
+    agree exactly with the explicit two-pass route."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(inst=supply_chain_instances())
+    def test_relation_and_instance_atoms(self, inst):
+        everywhere = set()
+        for rel in inst.relations():
+            subatoms = {sub for row in rel.tuples for sub in row.subobjects()
+                        if isinstance(sub, Atom)}
+            assert rel.atoms() == subatoms
+            everywhere |= subatoms
+        assert inst.atoms() == everywhere
+
+    @settings(max_examples=50, deadline=None)
+    @given(inst=supply_chain_instances())
+    def test_default_order_matches_explicit_order(self, inst):
+        single = ValueStore.from_instance(inst)
+        explicit = ValueStore.from_instance(
+            inst, AtomOrder.sorted_by_label(inst.atoms()))
+        assert len(single) == len(explicit)
+        for rel in inst.relations():
+            for row in rel.tuples:
+                for sub in row.subobjects():
+                    if sub is not row:
+                        assert single.intern(sub) == explicit.intern(sub)
+        assert len(single) == len(explicit)  # nothing new was interned
+
+    @settings(max_examples=50, deadline=None)
+    @given(inst=supply_chain_instances())
+    def test_tables_match_value_by_value_interning(self, inst):
+        store, tables = intern_instance(inst)
+        _, by_value = intern_instance(inst, store=ValueStore.from_instance(inst))
+        assert {name: list(t) for name, t in tables.items()} \
+            == {name: list(t) for name, t in by_value.items()}
+
+    def test_order_must_cover_the_atoms(self):
+        with pytest.raises(OrderError):
+            ValueStore.from_instance(NESTED_INSTANCE,
+                                     AtomOrder.from_labels("ab"))

@@ -47,12 +47,18 @@ class TestAtomOrder:
             ORDER3.index(Atom("z"))
 
     def test_duplicates_rejected(self):
-        with pytest.raises(OrderError):
+        with pytest.raises(OrderError, match=r"duplicate atom Atom\('a'\)"):
             AtomOrder.from_labels("aba")
 
     def test_sorted_by_label(self):
         order = AtomOrder.sorted_by_label([Atom("c"), Atom("a"), Atom("b")])
         assert [a.label for a in order] == ["a", "b", "c"]
+
+    def test_sorted_by_label_mixed_types(self):
+        """Int labels sort before str labels, each by their text."""
+        order = AtomOrder.sorted_by_label(
+            [Atom("b"), Atom(10), Atom("a"), Atom(9)])
+        assert [a.label for a in order] == [10, 9, "a", "b"]
 
     def test_all_atom_orders_count(self):
         orders = list(all_atom_orders([Atom(ch) for ch in "abc"]))

@@ -11,10 +11,20 @@ shows up as a count change, not a silent slowdown.
 
 from __future__ import annotations
 
+import gc
+
+import pytest
+
 from repro.core.builder import V, eq, exists, rel
 from repro.core.builder import query as build_query
 from repro.core.evaluation import Evaluator, evaluate
-from repro.datalog import Literal, Program, Rule, evaluate_inflationary
+from repro.datalog import (
+    Literal,
+    Program,
+    Rule,
+    evaluate_inflationary,
+    evaluate_partial,
+)
 from repro.obs import Tracer, use_tracer
 from repro.workloads import chain_graph, transitive_closure_query
 
@@ -157,3 +167,23 @@ class TestSatisfyMemo:
         evaluator = Evaluator(inst.schema, strategy="naive")
         evaluator.evaluate(q, inst)
         assert evaluator.last_stats["satisfy_memo_hits"] == 0
+
+
+class TestNoCyclicGarbage:
+    @pytest.mark.parametrize("evaluate_program",
+                             [evaluate_inflationary, evaluate_partial])
+    @pytest.mark.parametrize("intern", [False, True])
+    def test_evaluation_leaves_no_cycles(self, evaluate_program, intern):
+        """An evaluation's database, interned store and EDB rows are
+        freed by reference counting alone: with the cyclic collector
+        off, one evaluation leaves nothing for it to collect."""
+        program, inst = tc_program(), chain_graph(8)
+        gc.collect()
+        gc.disable()
+        try:
+            result = evaluate_program(program, inst, intern=intern)
+            uncollected = gc.collect()
+        finally:
+            gc.enable()
+        assert len(result["T"]) == _closure_size(8)
+        assert uncollected == 0

@@ -170,3 +170,12 @@ def _rebuild(value):
     if isinstance(value, CSet):
         return CSet(_rebuild(element) for element in value.elements)
     raise AssertionError
+
+
+class TestAtomCollection:
+    @given(small_types().flatmap(values_of_type))
+    def test_atoms_are_the_atom_subobjects(self, value):
+        """``atoms()`` of a tuple or set (gathered into one set) is
+        exactly its ``Atom`` subobjects."""
+        expected = {sub for sub in value.subobjects() if isinstance(sub, Atom)}
+        assert value.atoms() == expected
