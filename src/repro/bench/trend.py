@@ -182,6 +182,8 @@ def load_documents(paths: list[str]) -> list[dict[str, Any]]:
         if not isinstance(document, dict):
             raise TrendError(f"{path}: not an observatory document")
         legacy = is_legacy(document)
+        if not legacy:
+            _check_suites(document["suites"], path)
         records.append({
             "label": label_for_path(path),
             "path": path,
@@ -193,6 +195,27 @@ def load_documents(paths: list[str]) -> list[dict[str, Any]]:
     if all(numbers):
         records.sort(key=lambda record: int(record["label"][2:]))
     return records
+
+
+def _check_suites(suites: Any, path: str) -> None:
+    """Reject a schema-1 document whose structure the trend cannot walk:
+    ``suites`` must map names to objects, and each suite's ``points``
+    must be objects carrying ``n`` and ``strategy`` (and, if present,
+    a ``counters`` object)."""
+    if not isinstance(suites, dict):
+        raise TrendError(f"{path}: 'suites' is not an object")
+    for name, suite in suites.items():
+        if not isinstance(suite, dict):
+            raise TrendError(f"{path}: suite {name!r} is not an object")
+        points = suite.get("points", [])
+        if not isinstance(points, list) or not all(
+                isinstance(point, dict) and "n" in point
+                and "strategy" in point
+                and isinstance(point.get("counters", {}), dict)
+                for point in points):
+            raise TrendError(
+                f"{path}: suite {name!r} points must be objects with "
+                f"'n', 'strategy' and optional 'counters' object")
 
 
 def _point_value(suite_doc: dict[str, Any], n: int, strategy: str,

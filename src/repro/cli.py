@@ -114,7 +114,7 @@ from .obs import (
     use_tracer,
 )
 from .objects.encoding import encode_instance
-from .objects.io import instance_from_json, instance_to_json
+from .objects.io import SerializationError, instance_from_json, instance_to_json
 from .objects.schema import SchemaError
 from .objects.types import parse_type
 from .objects.values import CTuple
@@ -239,16 +239,15 @@ def _run_query(args: argparse.Namespace, tracer) -> tuple[frozenset, str]:
     with tracer.span("parse_query"):
         query = parse_query(args.query)
     strategy = getattr(args, "strategy", "seminaive")
-    intern = getattr(args, "intern", False)
     _record(query_hash=query_hash(args.query),
             instance_checksum=instance_checksum(inst),
-            strategy=strategy, intern=intern)
+            strategy=strategy)
     if args.mode == "active":
         return (evaluate(query, inst, max_domain_size=args.max_domain,
-                         strategy=strategy, intern=intern), "active")
+                         strategy=strategy), "active")
     try:
-        return (evaluate_range_restricted(query, inst, strategy=strategy,
-                                          intern=intern).answer, "rr")
+        return (evaluate_range_restricted(query, inst,
+                                          strategy=strategy).answer, "rr")
     except RangeComputationError as error:
         # Only the RR-analysis rejection triggers the fallback; genuine
         # engine failures propagate instead of masquerading as "not RR".
@@ -259,7 +258,7 @@ def _run_query(args: argparse.Namespace, tracer) -> tuple[frozenset, str]:
               f"({error}); falling back to active-domain semantics",
               file=sys.stderr)
         return (evaluate(query, inst, max_domain_size=args.max_domain,
-                         strategy=strategy, intern=intern), "active")
+                         strategy=strategy), "active")
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
@@ -884,11 +883,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--strategy", choices=("naive", "seminaive"), default="seminaive",
         help="fixpoint evaluation strategy: seminaive (delta-driven, "
              "default) or naive (re-derive everything each stage)")
-    query_cmd.add_argument(
-        "--intern", action=argparse.BooleanOptionalAction, default=False,
-        help="evaluate over the interned columnar kernel (dense value "
-             "ids + indexed joins); --no-intern (default) keeps the "
-             "object engines")
     query_cmd.add_argument("--trace", action="store_true",
                            help="print the trace tree to stderr")
     query_cmd.add_argument("--stats", action="store_true",
@@ -916,10 +910,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile_cmd.add_argument(
         "--strategy", choices=("naive", "seminaive"), default="seminaive",
         help="fixpoint evaluation strategy (as for the query command)")
-    profile_cmd.add_argument(
-        "--intern", action=argparse.BooleanOptionalAction, default=False,
-        help="evaluate over the interned columnar kernel "
-             "(as for the query command)")
     profile_cmd.add_argument("--json", action="store_true",
                              help="emit the trace document as JSON on stdout "
                                   "(alias for --format json)")
@@ -1147,7 +1137,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: pfp diverged: {error}", file=sys.stderr)
         return EXIT_ERROR
     except (OSError, json.JSONDecodeError, ParseError, TypeCheckError,
-            SchemaError, ExportError, ValueError) as error:
+            SchemaError, SerializationError, ExportError,
+            ValueError) as error:
         # Load/usage failures, per the exit-code convention.
         outcome, error_text = "error", str(error)
         print(f"error: {error}", file=sys.stderr)

@@ -30,17 +30,6 @@ Two evaluation strategies are offered (``Evaluator(strategy=...)``):
   relations are unchanged between stages.  Both refinements preserve the
   Definition 3.1 semantics exactly — stage sequences, answers, and
   :class:`PFPDivergenceError` period/stage all match the naive strategy.
-
-Orthogonally to the strategy, ``Evaluator(intern=True)`` evaluates over
-the interned kernel: the instance's values are interned once into a
-:class:`repro.objects.intern.ValueStore` and every environment binds
-dense integer ids instead of nested objects, so equality, membership
-and relation probes compare machine ints.  Interning is a bijection on
-the values in play, hence every truth value, stage sequence, stat
-counter and divergence outcome is identical to the object evaluator's;
-answers are decoded back to values at the API boundary.  The naive
-object engines therefore stay the differential oracle for the interned
-path too.
 """
 
 from __future__ import annotations
@@ -52,7 +41,6 @@ from ..obs import NullTracer, Tracer, get_tracer
 from ..obs.metrics import value_node_count
 from ..objects.domains import DomainTooLarge, domain_cardinality, materialize_domain
 from ..objects.instance import Instance
-from ..objects.intern import ValueStore
 from ..objects.schema import DatabaseSchema
 from ..objects.types import Type
 from ..objects.values import Atom, CSet, CTuple, Value
@@ -189,7 +177,6 @@ class _Context:
         tracer: Tracer | NullTracer | None = None,
         strategy: str = "seminaive",
         max_memo: int = DEFAULT_MAX_MEMO,
-        store: ValueStore | None = None,
     ):
         self.instance = instance
         self.tracer = tracer if tracer is not None else get_tracer()
@@ -217,12 +204,6 @@ class _Context:
         self.memo_enabled = strategy == "seminaive"
         self.max_memo = max_memo
         self.satisfy_memo: dict[tuple, bool] = {}
-        #: Interned kernel: when set, every env binds dense ids from this
-        #: store and `candidates`/relation probes go through the encoded
-        #: caches below.  ``None`` selects the plain object path.
-        self.store = store
-        self._encoded_domains: dict[tuple, list[int]] = {}
-        self._instance_rows: dict[str, frozenset[tuple[int, ...]]] = {}
         #: Per-formula (free variables, referenced relations), computed once.
         #: Keyed by ``id(formula)``: AST nodes are immutable and outlive
         #: the context, and structural hashing of a subtree on every
@@ -238,37 +219,11 @@ class _Context:
             self._profiles[id(formula)] = cached
         return cached
 
-    def candidates(self, var_name: str, typ: Type) -> Collection:
-        """Values a variable ranges over: its range if given, else dom(T, D).
-
-        Interned contexts return (and cache) the id-encoded candidate
-        list; the enumeration order matches the object path's, so stats
-        and short-circuiting behave identically."""
-        if self.store is None:
-            if var_name in self.variable_ranges:
-                return self.variable_ranges[var_name]
-            return self.domains.domain(typ)
-        ranged = var_name in self.variable_ranges
-        key = ("range", var_name) if ranged else ("domain", typ)
-        cached = self._encoded_domains.get(key)
-        if cached is None:
-            source = (self.variable_ranges[var_name] if ranged
-                      else self.domains.domain(typ))
-            cached = [self.store.intern(value) for value in source]
-            self._encoded_domains[key] = cached
-        return cached
-
-    def instance_rows(self, name: str) -> frozenset[tuple[int, ...]]:
-        """Id-encoded rows of an instance relation (interned contexts)."""
-        rows = self._instance_rows.get(name)
-        if rows is None:
-            assert self.store is not None
-            rows = frozenset(
-                self.store.intern_row(row.items)
-                for row in self.instance.relation(name).tuples
-            )
-            self._instance_rows[name] = rows
-        return rows
+    def candidates(self, var_name: str, typ: Type) -> Collection[Value]:
+        """Values a variable ranges over: its range if given, else dom(T, D)."""
+        if var_name in self.variable_ranges:
+            return self.variable_ranges[var_name]
+        return self.domains.domain(typ)
 
 
 class Evaluator:
@@ -283,9 +238,6 @@ class Evaluator:
             to a collection of candidate values (restricted semantics).
         strategy: ``"seminaive"`` (delta-driven, the default) or
             ``"naive"`` (the reference oracle; see the module docstring).
-        intern: evaluate over dense value ids from a per-evaluation
-            :class:`ValueStore` instead of nested objects (orthogonal to
-            ``strategy``; answers and counters are identical).
     """
 
     def __init__(
@@ -297,7 +249,6 @@ class Evaluator:
         variable_ranges: Mapping[str, Collection[Value]] | None = None,
         tracer: Tracer | NullTracer | None = None,
         strategy: str = "seminaive",
-        intern: bool = False,
     ):
         if strategy not in STRATEGIES:
             raise ValueError(
@@ -310,7 +261,6 @@ class Evaluator:
         self.max_fixpoint_stages = max_fixpoint_stages
         self.variable_ranges = variable_ranges
         self.strategy = strategy
-        self.intern = intern
         #: Explicit tracer; None resolves the active one per evaluation,
         #: so ``with use_tracer(...)`` works without rebuilding Evaluators.
         self.tracer = tracer
@@ -328,11 +278,7 @@ class Evaluator:
                              head=[name for name, _ in query.head]) as span:
             for env in self._bindings(head_vars, ctx, {}):
                 if self._satisfy(query.body, env, ctx):
-                    if ctx.store is not None:
-                        results.add(CTuple(ctx.store.value(env[v.name])
-                                           for v in head_vars))
-                    else:
-                        results.add(CTuple(env[v.name] for v in head_vars))
+                    results.add(CTuple(env[v.name] for v in head_vars))
             span.set(rows=len(results))
             if ctx.tracer.enabled:
                 ctx.tracer.count(
@@ -355,11 +301,7 @@ class Evaluator:
         check_formula(formula, self.schema,
                       dict(free_variable_types or {}) or None)
         ctx = self._context(formula, inst)
-        bound = dict(env or {})
-        if ctx.store is not None:
-            bound = {name: ctx.store.intern(value)
-                     for name, value in bound.items()}
-        result = self._satisfy(formula, bound, ctx)
+        result = self._satisfy(formula, dict(env or {}), ctx)
         self._finish(ctx)
         return result
 
@@ -379,13 +321,7 @@ class Evaluator:
                                    [Var(n, t) for n, t in fixpoint.columns]),
                       self.schema, param_types or None)
         ctx = self._context(fixpoint.body, inst)
-        bound = dict(env or {})
-        if ctx.store is not None:
-            bound = {name: ctx.store.intern(value)
-                     for name, value in bound.items()}
-        result = self._fixpoint_rows(fixpoint, bound, ctx)
-        if ctx.store is not None:
-            result = frozenset(ctx.store.unintern_row(row) for row in result)
+        result = self._fixpoint_rows(fixpoint, dict(env or {}), ctx)
         self._finish(ctx)
         return result
 
@@ -395,11 +331,10 @@ class Evaluator:
         atoms = active_atoms(inst, constants_of(formula))
         fixpoint_ranges: dict[str, dict[str, Collection[Value]]] = {}
         tracer = self.tracer if self.tracer is not None else get_tracer()
-        store = ValueStore.from_instance(inst) if self.intern else None
         return _Context(
             inst, atoms, self.max_domain_size, self.max_product,
             self.variable_ranges, fixpoint_ranges, tracer,
-            strategy=self.strategy, store=store,
+            strategy=self.strategy,
         )
 
     def _finish(self, ctx: _Context) -> None:
@@ -412,8 +347,6 @@ class Evaluator:
             for name, value in ctx.stats.items():
                 if value:
                     ctx.tracer.count(f"eval.{name}", value)
-            if ctx.store is not None:
-                ctx.tracer.gauge("space.interned_values", len(ctx.store))
 
     def _bindings(
         self,
@@ -452,11 +385,9 @@ class Evaluator:
             ctx.stats["quantifier_iterations"] += 1
             yield env
 
-    def _eval_term(self, term: Term, env: dict, ctx: _Context):
-        """Value of a term (a nested object, or a dense id when interned)."""
+    def _eval_term(self, term: Term, env: dict[str, Value], ctx: _Context) -> Value:
+        """Value of a term under ``env``."""
         if isinstance(term, Const):
-            if ctx.store is not None:
-                return ctx.store.intern(term.value)
             return term.value
         if isinstance(term, Var):
             try:
@@ -465,27 +396,11 @@ class Evaluator:
                 raise EvalError(f"unbound variable {term.name!r}") from None
         if isinstance(term, Proj):
             base = self._eval_term(term.base, env, ctx)
-            if ctx.store is not None:
-                items = ctx.store.tuple_items(base)
-                if items is None:
-                    raise EvalError(
-                        f"projection on non-tuple value "
-                        f"{ctx.store.value(base)!r}")
-                if not 1 <= term.index <= len(items):
-                    raise EvalError(
-                        f"projection index {term.index} out of range for "
-                        f"a {len(items)}-tuple")
-                return items[term.index - 1]
             if not isinstance(base, CTuple):
                 raise EvalError(f"projection on non-tuple value {base!r}")
             return base.component(term.index)
         if isinstance(term, FixpointTerm):
             rows = self._fixpoint_rows(term.fixpoint, env, ctx)
-            if ctx.store is not None:
-                if term.fixpoint.arity == 1:
-                    return ctx.store.intern_set(row[0] for row in rows)
-                return ctx.store.intern_set(
-                    ctx.store.intern_tuple(row) for row in rows)
             if term.fixpoint.arity == 1:
                 return CSet(row[0] for row in rows)
             return CSet(CTuple(row) for row in rows)
@@ -509,12 +424,6 @@ class Evaluator:
         if isinstance(formula, In):
             stats["atom_checks"] += 1
             container = self._eval_term(formula.container, env, ctx)
-            if ctx.store is not None:
-                members = ctx.store.set_members(container)
-                if members is None:
-                    raise EvalError(f"'in' on non-set value "
-                                    f"{ctx.store.value(container)!r}")
-                return self._eval_term(formula.element, env, ctx) in members
             if not isinstance(container, CSet):
                 raise EvalError(f"'in' on non-set value {container!r}")
             return self._eval_term(formula.element, env, ctx) in container
@@ -522,12 +431,6 @@ class Evaluator:
             stats["atom_checks"] += 1
             left = self._eval_term(formula.left, env, ctx)
             right = self._eval_term(formula.right, env, ctx)
-            if ctx.store is not None:
-                left_members = ctx.store.set_members(left)
-                right_members = ctx.store.set_members(right)
-                if left_members is None or right_members is None:
-                    raise EvalError("'sub' on non-set values")
-                return left_members <= right_members
             if not isinstance(left, CSet) or not isinstance(right, CSet):
                 raise EvalError("'sub' on non-set values")
             return left.issubset(right)
@@ -536,8 +439,6 @@ class Evaluator:
             row = tuple(self._eval_term(a, env, ctx) for a in formula.args)
             if formula.name in ctx.rel_env:
                 return row in ctx.rel_env[formula.name]
-            if ctx.store is not None:
-                return row in ctx.instance_rows(formula.name)
             return CTuple(row) in ctx.instance.relation(formula.name).tuples
         if isinstance(formula, FixpointPred):
             stats["atom_checks"] += 1

@@ -61,8 +61,6 @@ def evaluate_range_restricted(
     inst: Instance,
     schema: DatabaseSchema | None = None,
     exempt_types=frozenset(),
-    *,
-    intern: bool = False,
     **evaluator_options,
 ) -> SafeEvaluationReport:
     """Evaluate a range-restricted query via derived range functions.
@@ -71,18 +69,12 @@ def evaluate_range_restricted(
     those (dense, non-trivial) types are exempt from range restriction
     and range over their full domains instead.
 
-    ``intern=True`` runs the restricted evaluation over the interned
-    kernel (:class:`repro.core.evaluation.Evaluator` with ``intern``):
-    the derived ranges are computed over plain values as always and
-    id-encoded inside the evaluator, so the report's ``ranges`` keep
-    their object form while the hot evaluation compares dense ids.
-
     Raises :class:`RangeComputationError` if the query fails the
     Definition 5.2/5.3 analysis.
     """
     schema = schema or inst.schema
     tracer = get_tracer()
-    with tracer.span("range_restricted", intern=intern) as span:
+    with tracer.span("range_restricted") as span:
         ranges = compute_ranges(query, inst, schema,
                                 exempt_types=exempt_types)
         if tracer.enabled:
@@ -96,7 +88,7 @@ def evaluate_range_restricted(
                          sum(len(values) for values in ranges.values()))
             tracer.count("rr.evaluations")
         evaluator = Evaluator(schema, variable_ranges=ranges,
-                              intern=intern, **evaluator_options)
+                              **evaluator_options)
         answer = evaluator.evaluate(query, inst)
         span.set(rows=len(answer))
     return SafeEvaluationReport(answer=answer, ranges=ranges)

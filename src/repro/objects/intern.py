@@ -100,7 +100,7 @@ class ValueStore:
         # key -> id; keys are ("a", label) | ("t", id-tuple) | ("s", id-frozenset)
         self._ids: dict[tuple, int] = {}
         self._keys: list[tuple] = []
-        self._values: list[Value | None] = []  # lazy reconstruction cache
+        self._values: list[Value] = []
 
     def __len__(self) -> int:
         return len(self._keys)
@@ -132,7 +132,7 @@ class ValueStore:
             raise InternError(f"value not interned: {value!r}")
         return vid
 
-    def _add(self, key: tuple, value: Value | None) -> int:
+    def _add(self, key: tuple, value: Value) -> int:
         vid = len(self._keys)
         self._ids[key] = vid
         self._keys.append(key)
@@ -151,11 +151,7 @@ class ValueStore:
         else:
             raise InternError(f"cannot intern non-Value {value!r}")
         vid = self._ids.get(key)
-        if vid is None:
-            vid = self._add(key, value)
-        elif self._values[vid] is None:
-            self._values[vid] = value
-        return vid
+        return self._add(key, value) if vid is None else vid
 
     def intern_row(self, row: Iterable[Value]) -> tuple[int, ...]:
         return tuple(self.intern(value) for value in row)
@@ -169,59 +165,19 @@ class ValueStore:
 
     def value(self, vid: int) -> Value:
         """The value named by ``vid`` (inverse of :meth:`intern`)."""
-        kind, payload = self._key_at(vid)
-        cached = self._values[vid]
-        if cached is not None:
-            return cached
-        if kind == "a":
-            rebuilt: Value = Atom(payload)
-        elif kind == "t":
-            rebuilt = CTuple(self.value(i) for i in payload)
-        else:
-            rebuilt = CSet(self.value(i) for i in payload)
-        self._values[vid] = rebuilt
-        return rebuilt
+        if isinstance(vid, int) and 0 <= vid < len(self._values):
+            return self._values[vid]
+        raise InternError(f"unknown value id {vid!r}")
 
     def unintern_row(self, ids: Iterable[int]) -> tuple[Value, ...]:
         return tuple(self.value(vid) for vid in ids)
 
-    # -- id-level structure (what the interned engines operate on) --------
-
-    def kind(self, vid: int) -> str:
-        """``"atom"`` | ``"tuple"`` | ``"set"`` of the value behind ``vid``."""
-        tag = self._key_at(vid)[0]
-        return {"a": "atom", "t": "tuple", "s": "set"}[tag]
-
-    def tuple_items(self, vid: int) -> tuple[int, ...] | None:
-        """Component ids of a tuple value, ``None`` if not a tuple."""
-        kind, payload = self._key_at(vid)
-        return payload if kind == "t" else None
+    # -- id-level structure (what the interned Datalog engine probes) -----
 
     def set_members(self, vid: int) -> frozenset[int] | None:
         """Element ids of a set value, ``None`` if not a set."""
         kind, payload = self._key_at(vid)
         return payload if kind == "s" else None
-
-    def intern_tuple(self, item_ids: Iterable[int]) -> int:
-        """Id of the tuple whose components are the given ids (building
-        the structural key directly, no object materialisation)."""
-        key = ("t", tuple(item_ids))
-        self._check_ids(key[1])
-        vid = self._ids.get(key)
-        return self._add(key, None) if vid is None else vid
-
-    def intern_set(self, member_ids: Iterable[int]) -> int:
-        """Id of the set whose elements are the given ids."""
-        key = ("s", frozenset(member_ids))
-        self._check_ids(key[1])
-        vid = self._ids.get(key)
-        return self._add(key, None) if vid is None else vid
-
-    def _check_ids(self, ids: Iterable[int]) -> None:
-        total = len(self._keys)
-        for vid in ids:
-            if not 0 <= vid < total:
-                raise InternError(f"unknown value id {vid!r}")
 
     # -- deterministic, order-compatible construction ----------------------
 

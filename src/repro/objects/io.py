@@ -25,9 +25,10 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .instance import Instance
+from .instance import Instance, InstanceError
 from .schema import DatabaseSchema, RelationSchema
-from .values import Atom, CSet, CTuple, Value
+from .types import TypeError_
+from .values import Atom, CSet, CTuple, Value, ValueError_
 
 __all__ = [
     "SerializationError",
@@ -97,15 +98,16 @@ def schema_from_json(document: Any) -> DatabaseSchema:
     try:
         relations = document["relations"]
     except (TypeError, KeyError):
-        raise SerializationError(
-            "schema document needs a 'relations' list"
-        ) from None
+        relations = None
+    if not isinstance(relations, list):
+        raise SerializationError("schema document needs a 'relations' list")
     built = []
     for entry in relations:
         try:
             built.append(RelationSchema(entry["name"], entry["columns"]))
-        except (TypeError, KeyError) as exc:
-            raise SerializationError(f"bad relation entry {entry!r}") from exc
+        except (TypeError, KeyError, TypeError_) as exc:
+            raise SerializationError(
+                f"bad relation entry {entry!r}: {exc}") from exc
     return DatabaseSchema(built)
 
 
@@ -124,20 +126,31 @@ def instance_to_json(inst: Instance) -> Any:
 
 
 def instance_from_json(document: Any) -> Instance:
-    try:
-        schema = schema_from_json(document["schema"])
-        data = document.get("data", {})
-    except (TypeError, KeyError):
+    """Parse an instance document.  Every malformed document raises
+    :class:`SerializationError` (or :class:`SchemaError` for a schema
+    that parses but is inconsistent, e.g. data for an undeclared
+    relation)."""
+    if not isinstance(document, dict) or "schema" not in document:
+        raise SerializationError("instance document needs 'schema' and 'data'")
+    schema = schema_from_json(document["schema"])
+    data = document.get("data", {})
+    if not isinstance(data, dict):
         raise SerializationError(
-            "instance document needs 'schema' and 'data'"
-        ) from None
-    rows: dict[str, list] = {}
+            f"instance 'data' must map relation names to row lists, "
+            f"got {type(data).__name__}")
     for name, encoded_rows in data.items():
-        rows[name] = [
-            CTuple(value_from_json(item) for item in encoded_row)
-            for encoded_row in encoded_rows
-        ]
-    return Instance(schema, rows)
+        if not isinstance(encoded_rows, list) or not all(
+                isinstance(row, list) for row in encoded_rows):
+            raise SerializationError(
+                f"rows of relation {name!r} must be a list of lists")
+    try:
+        return Instance(schema, {
+            name: [CTuple(value_from_json(item) for item in encoded_row)
+                   for encoded_row in encoded_rows]
+            for name, encoded_rows in data.items()
+        })
+    except (InstanceError, ValueError_) as exc:
+        raise SerializationError(str(exc)) from exc
 
 
 def dump_instance(inst: Instance, path: str, indent: int = 2) -> None:

@@ -5,10 +5,12 @@ Every ``repro query/profile/bench/lint`` run appends a record to
 ``--no-ledger`` or an empty ``REPRO_LEDGER`` environment variable)
 carrying the run's natural primary key — the query hash and instance
 checksum that ROADMAP item 3's result cache will be keyed by — plus the
-strategy/intern flags, the lint complexity verdict when available, the
-headline engine counters (``eval.*``, ``space.*``, rows, stages), wall
-seconds, peak RSS, and the outcome (``ok`` / ``error`` / ``timeout`` /
-``divergence``).  History accumulates across invocations, so
+strategy, the lint complexity verdict when available, the headline
+engine counters (``eval.*``, ``space.*``, rows, stages), wall seconds,
+peak RSS, and the outcome (``ok`` / ``error`` / ``timeout`` /
+``divergence``).  Records from releases whose ``query``/``profile`` took
+``--intern`` also carry an ``intern`` flag; :func:`diff_records` still
+compares it.  History accumulates across invocations, so
 ``repro obs history/aggregate/diff`` can answer "what did this query
 cost last week" without re-running anything.
 

@@ -552,7 +552,9 @@ def answer_question(question: Question, inst: Instance,
 
     Datalog questions run through :func:`evaluate_inflationary`; CALC
     questions run range-restricted (Theorem 5.1) so every lane is
-    data-bounded.  The checksum is the shared ledger/bench quantity
+    data-bounded.  ``intern`` selects the interned Datalog kernel and
+    applies to ``.dl`` questions only: CALC questions always run on the
+    object-level evaluator.  The checksum is the shared ledger/bench quantity
     (:func:`repro.obs.ledger.rows_checksum`), so goldens, bench
     agreement checks and the result cache all key on the same number.
     """
@@ -575,7 +577,7 @@ def answer_question(question: Question, inst: Instance,
 
             assert question.build is not None
             report = evaluate_range_restricted(
-                question.build(), inst, strategy=strategy, intern=intern)
+                question.build(), inst, strategy=strategy)
             rows = frozenset(tuple(row.items) for row in report.answer)
         else:  # pragma: no cover - inventory invariant
             raise ValueError(f"unknown question kind {question.kind!r}")

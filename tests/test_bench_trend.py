@@ -111,6 +111,21 @@ class TestLoadDocuments:
         with pytest.raises(TrendError, match="not JSON"):
             load_documents([str(path)])
 
+    @pytest.mark.parametrize("document", [
+        pytest.param({"suites": {"x": 1}}, id="suite-not-an-object"),
+        pytest.param({"suites": {"seminaive-smoke": {"points": [1]}}},
+                     id="point-not-an-object"),
+        pytest.param({"suites": {"seminaive-smoke": {
+            "points": [{"strategy": "seminaive"}]}}}, id="point-without-n"),
+        pytest.param({"suites": [1]}, id="suites-not-an-object"),
+    ])
+    def test_malformed_schema1_raises_trend_error(self, tmp_path, capsys,
+                                                   document):
+        path = _write(tmp_path, "BENCH_PR99.json", document)
+        with pytest.raises(TrendError):
+            load_documents([path])
+        assert main(["bench", "--trend", path]) == EXIT_ERROR
+
 
 class TestBuildTrend:
     def test_real_pr3_pr4_mix_aligns_without_regressions(self, tmp_path):

@@ -60,6 +60,41 @@ class TestQueryCommand:
         path.write_text("{not json")
         assert main(["query", str(path), SAFE]) == EXIT_ERROR
 
+    def test_intern_flag_is_gone(self, graph_file, capsys):
+        """CALC has one evaluator; ``--intern`` is a usage error."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["query", graph_file, SAFE, "--intern"])
+        assert excinfo.value.code == EXIT_ERROR
+
+
+#: Structurally malformed instance documents: each must be a load error
+#: (exit 2) with a one-line message, never a traceback.
+_GRAPH_SCHEMA = {"relations": [{"name": "G", "columns": ["{U}", "{U}"]}]}
+MALFORMED_INSTANCES = [
+    pytest.param([1, 2], id="top-level-list"),
+    pytest.param({}, id="empty-object"),
+    pytest.param({"schema": _GRAPH_SCHEMA, "data": {"G": 5}},
+                 id="rows-not-a-list"),
+    pytest.param({"schema": _GRAPH_SCHEMA, "data": {"G": [5]}},
+                 id="row-not-a-list"),
+    pytest.param({"schema": _GRAPH_SCHEMA, "data": []},
+                 id="data-not-an-object"),
+    pytest.param({"schema": {"relations": [
+        {"name": "G", "columns": ["bogus", "{U}"]}]}, "data": {}},
+        id="bad-column-type"),
+]
+
+
+class TestMalformedInstance:
+    @pytest.mark.parametrize("document", MALFORMED_INSTANCES)
+    @pytest.mark.parametrize("command", ["query", "profile", "lint"])
+    def test_is_a_load_error(self, tmp_path, capsys, command, document):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(document))
+        assert main([command, str(path), SAFE]) == EXIT_ERROR
+        assert capsys.readouterr().err.strip().splitlines()[-1] \
+            .startswith("error: ")
+
 
 class TestAnalyzeCommand:
     def test_rr_query_ok(self, graph_file, capsys):

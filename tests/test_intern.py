@@ -4,7 +4,7 @@ Three properties pin :mod:`repro.objects.intern`:
 
 * intern → unintern is the identity over random nested values;
 * interning is injective — equal ids iff structurally equal values —
-  and id-level set/tuple structure mirrors the object structure;
+  and id-level set membership mirrors the object structure;
 * on a fixed instance, :meth:`ValueStore.from_instance` assigns ids
   compatible with the induced order ``<_T`` of Definition 4.2 within
   each declared-type group (atoms get exactly their AtomOrder ranks),
@@ -57,18 +57,6 @@ class TestRoundTrip:
         ids = store.intern_row(values)
         assert store.unintern_row(ids) == tuple(values)
 
-    @settings(max_examples=100, deadline=None)
-    @given(value=nested_values())
-    def test_reconstruction_without_cache(self, value):
-        """``value()`` must rebuild from structural keys alone: a second
-        store fed only the ids' keys (via intern_set/intern_tuple paths)
-        still decodes."""
-        store = ValueStore()
-        vid = store.intern(value)
-        # Drop the cached objects; force key-based reconstruction.
-        store._values = [None] * len(store._values)
-        assert store.value(vid) == value
-
 
 class TestInjectivity:
     @settings(max_examples=150, deadline=None)
@@ -89,34 +77,21 @@ class TestInjectivity:
     def test_id_structure_mirrors_value_structure(self, value):
         store = ValueStore()
         vid = store.intern(value)
-        if isinstance(value, Atom):
-            assert store.kind(vid) == "atom"
-            assert store.tuple_items(vid) is None
-            assert store.set_members(vid) is None
-        elif isinstance(value, CTuple):
-            assert store.kind(vid) == "tuple"
-            items = store.tuple_items(vid)
-            assert items is not None
-            assert store.unintern_row(items) == value.items
-            assert store.intern_tuple(items) == vid
-        else:
-            assert store.kind(vid) == "set"
-            members = store.set_members(vid)
+        members = store.set_members(vid)
+        if isinstance(value, CSet):
             assert members is not None
             assert frozenset(store.value(m) for m in members) == value.elements
-            assert store.intern_set(members) == vid
+        else:
+            assert members is None
 
     def test_unknown_ids_rejected(self):
         store = ValueStore()
         with pytest.raises(InternError):
             store.value(0)
         with pytest.raises(InternError):
-            store.intern_set([7])
-        with pytest.raises(InternError):
             store.intern("not a value")
 
-    @pytest.mark.parametrize("method",
-                             ["value", "kind", "tuple_items", "set_members"])
+    @pytest.mark.parametrize("method", ["value", "set_members"])
     @pytest.mark.parametrize("vid", [-1, 4, 99, "0", None])
     def test_id_accessors_bounds_checked(self, method, vid):
         """Negative ids must not index from the end, and ids past the

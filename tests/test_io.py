@@ -3,10 +3,13 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.objects import (
+    Instance,
+    SchemaError,
     SerializationError,
     atom,
     cset,
@@ -22,8 +25,13 @@ from repro.objects import (
     value_from_json,
     value_to_json,
 )
+from repro.workloads import supply_chain_instance
 
 from .conftest import small_types, values_of_type
+
+#: The LNT001 never-crash fuzz's settings (test_program_differential).
+HALF_SWEEP = settings(max_examples=150, deadline=None,
+                      suppress_health_check=[HealthCheck.too_slow])
 
 
 class TestValueRoundtrip:
@@ -141,3 +149,82 @@ class TestCLI:
         document = json.loads(capsys.readouterr().out)
         inst = instance_from_json(document)
         assert inst.relation("G").cardinality == 2
+
+
+# ---------------------------------------------------------------------------
+# Never-crash fuzz: a malformed document is a SerializationError (or a
+# SchemaError for a well-formed but inconsistent schema), never a crash
+# ---------------------------------------------------------------------------
+
+#: Keys of the wire format, so random objects often look like documents.
+_WIRE_KEYS = st.sampled_from(
+    ["schema", "data", "relations", "name", "columns", "a", "t", "s",
+     "Part", "U", "{U}"])
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6) | st.sampled_from(["U", "{U}", "[U,U]", ""]),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(_WIRE_KEYS | st.text(max_size=4),
+                                        children, max_size=4)),
+    max_leaves=20,
+)
+
+
+def _paths(node, prefix=()):
+    """Every path (tuple of keys/indexes) into a JSON document."""
+    yield prefix
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _paths(child, prefix + (key,))
+    elif isinstance(node, list):
+        for index, child in enumerate(node):
+            yield from _paths(child, prefix + (index,))
+
+
+def _mutate(node, path, replacement, delete):
+    """A copy of ``node`` with the node at ``path`` replaced (or, with
+    ``delete``, removed from its parent); only the path is copied."""
+    if not path:
+        return replacement
+    head, rest = path[0], path[1:]
+    copy = dict(node) if isinstance(node, dict) else list(node)
+    if delete and not rest:
+        del copy[head]
+    else:
+        copy[head] = _mutate(node[head], rest, replacement, delete)
+    return copy
+
+
+_DOCUMENT = instance_to_json(supply_chain_instance(1))
+_DOCUMENT_PATHS = list(_paths(_DOCUMENT))
+
+
+@st.composite
+def mutated_documents(draw):
+    path = draw(st.sampled_from(_DOCUMENT_PATHS))
+    delete = bool(path) and draw(st.booleans())
+    return _mutate(_DOCUMENT, path, draw(_JSON), delete)
+
+
+def _assert_loads_or_rejects(document):
+    try:
+        loaded = instance_from_json(document)
+    except (SerializationError, SchemaError):
+        return
+    assert isinstance(loaded, Instance)
+
+
+class TestLoaderNeverCrashes:
+    def test_unmutated_document_loads(self):
+        assert isinstance(instance_from_json(_DOCUMENT), Instance)
+
+    @HALF_SWEEP
+    @given(_JSON)
+    def test_random_json(self, document):
+        _assert_loads_or_rejects(document)
+
+    @HALF_SWEEP
+    @given(mutated_documents())
+    def test_mutated_supply_chain_document(self, document):
+        _assert_loads_or_rejects(document)

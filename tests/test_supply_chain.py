@@ -7,9 +7,11 @@ Two halves:
   pins, at seed 0 and scales 1 and 4, the instance checksum, every
   relation's row count, and every inventory question's answer (row
   count, order-independent checksum, fixpoint stage count for the
-  recursive questions).  All three engine lanes — naive, semi-naive,
-  interned — are held to those numbers.  The expensive scale-4 CALC
-  sweep carries ``-m slow`` (the deep-differential CI lane).
+  recursive questions).  Every engine lane is held to those numbers:
+  naive, semi-naive and interned for ``.dl`` questions, naive and
+  semi-naive for CALC questions (the interned kernel is Datalog-only).
+  The expensive scale-4 CALC sweep carries ``-m slow`` (the
+  deep-differential CI lane).
 * **Generator properties** (hypothesis) — same seed ⇒ byte-identical
   instance checksum, documented row formulas, BOM acyclicity with the
   exact ``102 * scale`` closure size, schema conformance of the nested
@@ -46,6 +48,8 @@ LANES = {
     "seminaive": ("seminaive", False),
     "interned": ("seminaive", True),
 }
+#: The lanes CALC questions run on (``intern`` applies to .dl only).
+CALC_LANES = ("naive", "seminaive")
 
 PROPS = settings(max_examples=25, deadline=None,
                  suppress_health_check=[HealthCheck.too_slow])
@@ -56,6 +60,13 @@ def instances():
     """The pinned golden instances, built once per module."""
     return {scale: supply_chain_instance(scale, GOLDEN_SEED)
             for scale in GOLDEN_SCALES}
+
+
+def _lane_questions(lane, kind=None):
+    """The inventory questions ``lane`` answers, optionally of one kind."""
+    return [question for question in QUESTIONS
+            if (question.kind == "datalog" or lane in CALC_LANES)
+            and kind in (None, question.kind)]
 
 
 def _assert_question_matches(question, inst, expected, strategy, intern):
@@ -99,7 +110,7 @@ class TestGoldenConformance:
     def test_scale1_every_question(self, instances, lane):
         strategy, intern = LANES[lane]
         payload = GOLDEN["scales"]["1"]
-        for question in QUESTIONS:
+        for question in _lane_questions(lane):
             _assert_question_matches(
                 question, instances[1], payload["questions"][question.name],
                 strategy, intern)
@@ -108,21 +119,17 @@ class TestGoldenConformance:
     def test_scale4_datalog_questions(self, instances, lane):
         strategy, intern = LANES[lane]
         payload = GOLDEN["scales"]["4"]
-        for question in QUESTIONS:
-            if question.kind != "datalog":
-                continue
+        for question in _lane_questions(lane, "datalog"):
             _assert_question_matches(
                 question, instances[4], payload["questions"][question.name],
                 strategy, intern)
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("lane", sorted(LANES))
+    @pytest.mark.parametrize("lane", CALC_LANES)
     def test_scale4_calc_questions(self, instances, lane):
         strategy, intern = LANES[lane]
         payload = GOLDEN["scales"]["4"]
-        for question in QUESTIONS:
-            if question.kind != "calc":
-                continue
+        for question in _lane_questions(lane, "calc"):
             _assert_question_matches(
                 question, instances[4], payload["questions"][question.name],
                 strategy, intern)
